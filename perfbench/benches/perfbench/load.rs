@@ -59,9 +59,15 @@ pub fn classify(op: &Op, reply: &RespValue) -> Outcome {
     }
 }
 
-/// Drive every stream over its own connection to `addr` for `duration`.
-/// Returns every request, grouped by connection, each group in send order.
-pub fn run(addr: SocketAddr, streams: &mut [OpStream], duration: Duration) -> Vec<Sample> {
+/// Drive every stream over its own connection to `addr` for `duration`,
+/// taking each request from the stream with `next`. Returns every request,
+/// grouped by connection, each group in send order.
+pub fn run(
+    addr: SocketAddr,
+    streams: &mut [OpStream],
+    duration: Duration,
+    next: fn(&mut OpStream) -> Op,
+) -> Vec<Sample> {
     let start = Instant::now();
     let deadline = start + duration;
     let per_conn: Vec<Vec<Sample>> = std::thread::scope(|scope| {
@@ -74,13 +80,13 @@ pub fn run(addr: SocketAddr, streams: &mut [OpStream], duration: Duration) -> Ve
                     let mut client = match RespClient::connect(addr) {
                         Ok(c) => c,
                         Err(e) => {
-                            let op = stream.next_op();
+                            let op = next(stream);
                             samples.push(failed(conn, op, start, format!("connect: {e}")));
                             return samples;
                         }
                     };
                     while Instant::now() < deadline {
-                        let op = stream.next_op();
+                        let op = next(stream);
                         let sent = Instant::now();
                         let result = send(&mut client, &op);
                         let latency = sent.elapsed();
@@ -106,38 +112,6 @@ pub fn run(addr: SocketAddr, streams: &mut [OpStream], duration: Duration) -> Ve
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });
     per_conn.into_iter().flatten().collect()
-}
-
-/// Send `count` writes from `stream` on a fresh connection (the
-/// write-latency probe of the read-only workloads), in `bursts` equal runs
-/// of back-to-back requests spread evenly over `span`.
-pub fn write_probe(
-    addr: SocketAddr,
-    stream: &mut OpStream,
-    count: usize,
-    bursts: usize,
-    span: Duration,
-) -> Vec<Sample> {
-    let start = Instant::now();
-    let mut client = match RespClient::connect(addr) {
-        Ok(c) => c,
-        Err(e) => return vec![failed(0, stream.next_write(), start, format!("connect: {e}"))],
-    };
-    let per_burst = count.div_ceil(bursts);
-    (0..count)
-        .map(|i| {
-            if i % per_burst == 0 {
-                let due = start + span.mul_f64((i / per_burst) as f64 / bursts as f64);
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
-            }
-            let op = stream.next_write();
-            let sent = Instant::now();
-            let outcome = send(&mut client, &op).unwrap_or_else(|e| Outcome::Failed(e.to_string()));
-            Sample { conn: 0, op, start: sent - start, latency: sent.elapsed(), outcome }
-        })
-        .collect()
 }
 
 fn failed(conn: usize, op: Op, start: Instant, why: String) -> Sample {

@@ -35,16 +35,13 @@ use std::time::{Duration, Instant};
 
 /// Set-ups per untraced run; `setup_s` is their median.
 const SETUP_REPEATS: usize = 7;
-/// Writes the write-latency probe of the read-only workloads sends, and the
-/// bursts it sends them in, spread over the probe's share of the run so that
-/// a short stretch of interference on the host lands on few of them.
-const PROBE_WRITES: usize = 20_000;
-const PROBE_BURSTS: usize = 20;
 /// Most slices a window is cut into; the end-to-end figures are medians
 /// over slices.
 const CHUNKS: usize = 30;
 /// Share of `--seconds` the write probe of the read-only workloads takes;
-/// their load window gets the rest.
+/// their load window gets the rest. The probe drives both connections with
+/// writes alone, closed loop, as the window drives them with reads, so that
+/// no core idles between a write's hops.
 const PROBE_SHARE: f64 = 0.2;
 
 pub struct Args {
@@ -324,9 +321,8 @@ fn run(args: &Args) -> Result<Json, String> {
         let child = child.expect("at least one set-up");
         let mut poll = connect(child.addr)?;
         let config = command(&mut poll, &["GRAPH.CONFIG", "GET", "*"])?;
-        untraced(args, &mut run, child.addr, &mut poll)?;
+        untraced(args, &mut run, &child, &mut poll)?;
         run.metrics.add("setup_s", stats::median(&setup_s), "s", setup_s.len());
-        run.metrics.add("rss_peak_mb", child.rss_peak_mib(), "MiB", 1);
         run.samples.push(("setups", setup_s.len()));
         drop(poll);
         child.stop()?;
@@ -393,21 +389,24 @@ fn latency(samples: &[Sample], span: Duration, keep: fn(&Sample) -> bool, q: f64
 fn untraced(
     args: &Args,
     run: &mut Run,
-    addr: std::net::SocketAddr,
+    child: &ChildServer,
     poll: &mut RespClient,
 ) -> Result<(), String> {
     let Run { streams, oracle, tally, metrics, samples } = run;
+    let addr = child.addr;
     let info_start = info(poll)?;
     let read_only = args.workload != Workload::MixedRw;
     let share = if read_only { 1.0 - PROBE_SHARE } else { 1.0 };
     let span = Duration::from_secs_f64(args.seconds * share);
-    let window = load::run(addr, streams, span);
+    let window = load::run(addr, streams, span, OpStream::next_op);
+    // The peak of the workload itself: the write probe, whose write count
+    // follows the host's speed, must not move it.
+    let rss_peak_mb = child.rss_peak_mib();
     check_window(&window, oracle, tally);
     // Writes of the read-only workloads come from a probe after the window.
     let (writes, writes_span) = if read_only {
         let probe_span = Duration::from_secs_f64(args.seconds * PROBE_SHARE);
-        let probe =
-            load::write_probe(addr, &mut streams[0], PROBE_WRITES, PROBE_BURSTS, probe_span);
+        let probe = load::run(addr, streams, probe_span, OpStream::next_write);
         check_window(&probe, oracle, tally);
         (probe, probe_span)
     } else {
@@ -426,6 +425,7 @@ fn untraced(
     metrics.add("p50_us", latency(&window, span, is_read, 0.5), "us", reads);
     metrics.add("p99_us", latency(&window, span, is_read, 0.99), "us", reads);
     metrics.add("write_p50_us", latency(&writes, writes_span, is_write, 0.5), "us", writes_timed);
+    metrics.add("rss_peak_mb", rss_peak_mb, "MiB", 1);
     samples.extend([
         ("window_requests", window.len()),
         ("reads", reads),

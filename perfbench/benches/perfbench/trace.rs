@@ -8,7 +8,7 @@ use crate::check::{check_final_state, check_window, cross_check, info};
 use crate::load::{self, classify, Outcome, Sample};
 use crate::{latencies, repo_root, Args, Report, Run};
 use perfbench::workload::GRAPH;
-use perfbench::{stats, Op, Oracle, Shape, Workload};
+use perfbench::{stats, Op, OpStream, Oracle, Shape, Workload};
 use redisgraph_core::{ExecutionPlan, Graph, GraphSnapshot, OpProfile};
 use redisgraph_server::commands::resultset_to_resp;
 use redisgraph_server::{
@@ -457,12 +457,12 @@ pub fn traced(
     let addr = net.local_addr();
     // A quarter of the run untraced, a quarter traced, half replaying.
     let phase = Duration::from_secs_f64(args.seconds * 0.25);
-    let untraced = load::run(addr, streams, phase);
+    let untraced = load::run(addr, streams, phase, OpStream::next_op);
     check_window(&untraced, oracle, tally);
     let epoch = Instant::now();
     let info_before = info(poll)?;
     let root_offset = epoch.elapsed();
-    let traced = load::run(addr, streams, phase);
+    let traced = load::run(addr, streams, phase, OpStream::next_op);
     let info_after = info(poll)?;
     check_window(&traced, oracle, tally);
     check_final_state(addr, oracle, tally)?;
