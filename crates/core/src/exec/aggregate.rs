@@ -1,14 +1,21 @@
 //! Aggregation functions for `RETURN` / `WITH` projections: `count`, `sum`,
 //! `avg`, `min`, `max`, `collect`, with optional `DISTINCT`.
 
-use crate::value::Value;
+use crate::value::{Value, ValueKey};
+use std::collections::HashSet;
 
 /// Incremental state of one aggregation expression within one group.
+///
+/// `DISTINCT` keeps one observation per equivalence class of
+/// [`ValueKey`] — the equivalence grouping and `RETURN DISTINCT` use, and
+/// `Value::cypher_eq` for non-null values: `1` and `1.0` are one value,
+/// 2^53 and 2^53 + 1 are two, and every NaN is distinct from everything.
+/// Each value costs one hash-set probe.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,
     distinct: bool,
-    seen: Vec<Value>,
+    seen: HashSet<ValueKey>,
     count: u64,
     sum: f64,
     /// Exact integer running sum. i128 so intermediate i64 overflow does not
@@ -59,7 +66,7 @@ impl Accumulator {
         Accumulator {
             func,
             distinct,
-            seen: Vec::new(),
+            seen: HashSet::new(),
             count: 0,
             sum: 0.0,
             int_sum: 0,
@@ -88,10 +95,12 @@ impl Accumulator {
             return;
         }
         if self.distinct {
-            if self.seen.iter().any(|v| v.cypher_eq(&value) == Some(true)) {
-                return;
+            // A NaN has no key: equivalent to nothing, it always counts anew.
+            if let Some(key) = ValueKey::new(&value) {
+                if !self.seen.insert(key) {
+                    return;
+                }
             }
-            self.seen.push(value.clone());
         }
         let weight = if self.distinct { 1 } else { weight };
         self.count += weight;

@@ -36,6 +36,11 @@
 //! order-of-magnitude win on aggregate-only chains comes from. Any other
 //! consumer gets full expansion: `k` identical records per cell, exactly the
 //! multiset the unfused plan produces.
+//!
+//! The hand-off also fires after a `Node By Id Seek`: the planner drops the
+//! `id(s) = …` conjunct the seek enforces from the `WHERE` filter, so a point
+//! query such as `MATCH (s)-[:R]->()-[:R]->(t) WHERE id(s) = $k RETURN
+//! count(t)` plans no `Filter` between the fused chain and its `Aggregate`.
 
 use crate::exec::expr::contains_aggregate;
 use crate::exec::ops::PlanOp;

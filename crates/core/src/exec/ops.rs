@@ -10,7 +10,7 @@ use crate::exec::expr::{contains_aggregate, eval};
 use crate::exec::record::{Bindings, Record};
 use crate::exec::resultset::QueryStats;
 use crate::store::graph::{Graph, TraverseDir};
-use crate::value::Value;
+use crate::value::{Value, ValueKey};
 use crate::{EdgeId, NodeId};
 use cypher::{Direction, Expr, PathPattern, Projection, SetItem, SortOrder};
 use graphblas::prelude::*;
@@ -86,7 +86,9 @@ pub enum PlanOp {
         /// Label to scan.
         label: String,
     },
-    /// Bind a single node looked up by internal id (`WHERE id(n) = …`).
+    /// Bind a single node looked up by internal id (`WHERE id(n) = …`). The
+    /// seek enforces the whole `id(n) = <id_expr>` conjunct, which the
+    /// planner therefore drops from the `WHERE` filter.
     NodeByIdSeek {
         /// Output slot.
         slot: usize,
@@ -289,8 +291,12 @@ pub fn run_scan(
         }
         PlanOp::NodeByIdSeek { slot, id_expr, .. } => {
             for record in &records {
+                // Only an id `=` the value qualifies: 1.0 seeks node 1, while
+                // 0.5, "1" and null seek nothing.
                 let id_val = eval(id_expr, record, bindings, graph);
-                if let Some(id) = id_val.as_i64() {
+                let exact =
+                    id_val.as_i64().filter(|&id| Value::Int(id).cypher_eq(&id_val) == Some(true));
+                if let Some(id) = exact {
                     if id >= 0 && graph.node(id as NodeId).is_some() {
                         let mut r = record.clone();
                         ensure_len(&mut r, bindings);
@@ -859,8 +865,9 @@ fn apply_order_skip_limit(projection: &Projection, mut rows: Vec<SortableRow>) -
     }
     let mut out: Vec<Vec<Value>> = rows.into_iter().map(|(row, _)| row).collect();
     if projection.distinct {
+        // A row holding NaN has no key and is distinct from every other.
         let mut seen = HashSet::new();
-        out.retain(|row| seen.insert(format!("{row:?}")));
+        out.retain(|row| ValueKey::row(row).is_none_or(|key| seen.insert(key)));
     }
     let skip = projection.skip.unwrap_or(0) as usize;
     if skip > 0 {
@@ -895,7 +902,8 @@ pub fn run_project(
 }
 
 /// Execute an aggregating projection: group records by the non-aggregate items
-/// and fold the aggregate items with [`Accumulator`]s. `weight_slot` carries
+/// (under the [`ValueKey`] equivalence, so `1` and `1.0` share a group) and
+/// fold the aggregate items with [`Accumulator`]s. `weight_slot` carries
 /// the path-count weight of compact records emitted by a fused traversal
 /// (`Null` or absent = weight 1, i.e. an ordinary record).
 pub fn run_aggregate(
@@ -916,35 +924,40 @@ pub fn run_aggregate(
         }
     }
 
-    type GroupState = (Vec<Value>, Vec<Accumulator>);
-    let mut groups: HashMap<String, GroupState> = HashMap::new();
-    let mut group_order: Vec<String> = Vec::new();
+    let new_accumulators = || -> Vec<Accumulator> {
+        agg_positions
+            .iter()
+            .map(|&i| match &projection.items[i].expr {
+                Expr::FunctionCall { name, distinct, .. } => {
+                    Accumulator::new(AggFunc::from_name(name).unwrap_or(AggFunc::Count), *distinct)
+                }
+                _ => Accumulator::new(AggFunc::Count, false),
+            })
+            .collect()
+    };
+    // Groups in first-seen order, found through their keys' index.
+    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
+    let mut index: HashMap<Vec<ValueKey>, usize> = HashMap::new();
 
     for record in records {
         let key_values: Vec<Value> = group_positions
             .iter()
             .map(|&i| eval(&projection.items[i].expr, record, bindings, graph))
             .collect();
-        let key = format!("{key_values:?}");
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            group_order.push(key);
-            let accs = agg_positions
-                .iter()
-                .map(|&i| match &projection.items[i].expr {
-                    Expr::FunctionCall { name, distinct, .. } => {
-                        let func = AggFunc::from_name(name).unwrap_or(AggFunc::Count);
-                        Accumulator::new(func, *distinct)
-                    }
-                    _ => Accumulator::new(AggFunc::Count, false),
-                })
-                .collect();
-            (key_values.clone(), accs)
-        });
+        let mut open_group = |key_values| {
+            groups.push((key_values, new_accumulators()));
+            groups.len() - 1
+        };
+        // A key holding NaN is equivalent to no other: it opens its own group.
+        let g = match ValueKey::row(&key_values) {
+            Some(key) => *index.entry(key).or_insert_with(|| open_group(key_values)),
+            None => open_group(key_values),
+        };
         let weight = weight_slot
             .and_then(|ws| record.get(ws))
             .and_then(Value::as_i64)
             .map_or(1, |w| w.max(0) as u64);
-        for (acc, &item_pos) in entry.1.iter_mut().zip(agg_positions.iter()) {
+        for (acc, &item_pos) in groups[g].1.iter_mut().zip(agg_positions.iter()) {
             if let Expr::FunctionCall { args, .. } = &projection.items[item_pos].expr {
                 let value = match args.first() {
                     Some(arg) => eval(arg, record, bindings, graph),
@@ -958,23 +971,12 @@ pub fn run_aggregate(
     // Aggregations with no input records still produce one row (e.g. count = 0)
     // when there are no group keys.
     if groups.is_empty() && group_positions.is_empty() {
-        let accs: Vec<Accumulator> = agg_positions
-            .iter()
-            .map(|&i| match &projection.items[i].expr {
-                Expr::FunctionCall { name, distinct, .. } => {
-                    Accumulator::new(AggFunc::from_name(name).unwrap_or(AggFunc::Count), *distinct)
-                }
-                _ => Accumulator::new(AggFunc::Count, false),
-            })
-            .collect();
-        groups.insert("empty".into(), (Vec::new(), accs));
-        group_order.push("empty".into());
+        groups.push((Vec::new(), new_accumulators()));
     }
 
-    let rows: Vec<SortableRow> = group_order
+    let rows: Vec<SortableRow> = groups
         .into_iter()
-        .map(|key| {
-            let (key_values, accs) = groups.remove(&key).expect("group exists");
+        .map(|(key_values, accs)| {
             let mut row = vec![Value::Null; projection.items.len()];
             for (value, &pos) in key_values.into_iter().zip(group_positions.iter()) {
                 row[pos] = value;

@@ -7,8 +7,11 @@
 //! Plan construction mirrors RedisGraph's planner for the supported subset:
 //!
 //! * the first node of a `MATCH` pattern chooses its access path — `Node By Id
-//!   Seek` when the `WHERE` clause pins `id(n)`, `Node By Label Scan` when the
-//!   pattern has a label, otherwise `All Node Scan`;
+//!   Seek` when that `MATCH`'s own `WHERE` pins `id(n)` to a literal or a
+//!   parameter, `Node By Label Scan` when the pattern has a label, otherwise
+//!   `All Node Scan`. The seek enforces the `id(n) = …` conjunct it consumed,
+//!   so that conjunct leaves the `WHERE` filter (and with nothing left, no
+//!   `Filter` is planned at all);
 //! * every relationship step becomes a `Conditional Traverse` (or `Expand
 //!   Into` when both endpoints are already bound), executed against the
 //!   graph's sparse matrices;
@@ -473,6 +476,9 @@ struct Builder {
     bindings: Bindings,
     ops: Vec<PlanOp>,
     anon_counter: usize,
+    /// Variables the last `MATCH` bound through a `Node By Id Seek`, whose
+    /// `id(v) = …` conjunct its `WHERE` no longer needs to check.
+    seeked: Vec<String>,
 }
 
 impl Builder {
@@ -482,6 +488,7 @@ impl Builder {
             bindings: Bindings::new(),
             ops: Vec::new(),
             anon_counter: 0,
+            seeked: Vec::new(),
         }
     }
 
@@ -497,8 +504,7 @@ impl Builder {
     }
 
     fn build(mut self, query: &Query) -> Result<ExecutionPlan, QueryError> {
-        let id_seeks = collect_id_seeks(query);
-        for clause in &query.clauses {
+        for (ci, clause) in query.clauses.iter().enumerate() {
             match clause {
                 Clause::Match { optional, patterns } => {
                     if *optional {
@@ -506,12 +512,21 @@ impl Builder {
                             "OPTIONAL MATCH is not supported by this RedisGraph version".into(),
                         ));
                     }
+                    // Only this MATCH's own WHERE may pin its start nodes: a
+                    // later clause's predicate must not narrow an earlier scan.
+                    let id_seeks = match query.clauses.get(ci + 1) {
+                        Some(Clause::Where(expr)) => collect_id_seeks(expr),
+                        _ => HashMap::new(),
+                    };
                     for pattern in patterns {
                         self.plan_pattern(pattern, &id_seeks)?;
                     }
                 }
                 Clause::Where(expr) => {
-                    self.ops.push(PlanOp::Filter { expr: expr.clone() });
+                    let seeked = std::mem::take(&mut self.seeked);
+                    if let Some(expr) = without_seek_conjuncts(expr, &seeked) {
+                        self.ops.push(PlanOp::Filter { expr });
+                    }
                 }
                 Clause::Return(projection) => {
                     let agg = projection.items.iter().any(|i| contains_aggregate(&i.expr));
@@ -724,6 +739,7 @@ impl Builder {
                 var: var.to_string(),
                 id_expr: id_expr.clone(),
             });
+            self.seeked.push(var.to_string());
             // Remaining label/property constraints still apply.
             self.plan_node_constraints(node, slot);
             return;
@@ -757,31 +773,54 @@ impl Builder {
     }
 }
 
-/// Scan the WHERE clauses for `id(var) = <expr>` conjuncts usable as
-/// `Node By Id Seek` access paths.
-fn collect_id_seeks(query: &Query) -> HashMap<String, Expr> {
-    let mut seeks = HashMap::new();
-    for clause in &query.clauses {
-        if let Clause::Where(expr) = clause {
-            collect_id_seeks_expr(expr, &mut seeks);
+/// The top-level `AND` conjuncts of a predicate, left to right.
+fn conjuncts(expr: &Expr) -> Vec<&Expr> {
+    match expr {
+        Expr::Binary(cypher::BinaryOperator::And, lhs, rhs) => {
+            let mut out = conjuncts(lhs);
+            out.extend(conjuncts(rhs));
+            out
         }
+        _ => vec![expr],
+    }
+}
+
+/// `id(var) = <literal | $param>`, either way round: a conjunct a `Node By
+/// Id Seek` on `var` can serve.
+fn id_seek_conjunct(expr: &Expr) -> Option<(&str, &Expr)> {
+    match expr {
+        Expr::Binary(cypher::BinaryOperator::Eq, lhs, rhs) => {
+            match_id_eq(lhs, rhs).or_else(|| match_id_eq(rhs, lhs))
+        }
+        _ => None,
+    }
+}
+
+/// The seekable conjuncts of one WHERE predicate: variable → id expression,
+/// the first conjunct per variable winning.
+fn collect_id_seeks(expr: &Expr) -> HashMap<String, Expr> {
+    let mut seeks = HashMap::new();
+    for (var, value) in conjuncts(expr).into_iter().filter_map(id_seek_conjunct) {
+        seeks.entry(var.to_string()).or_insert_with(|| value.clone());
     }
     seeks
 }
 
-fn collect_id_seeks_expr(expr: &Expr, seeks: &mut HashMap<String, Expr>) {
-    match expr {
-        Expr::Binary(cypher::BinaryOperator::And, lhs, rhs) => {
-            collect_id_seeks_expr(lhs, seeks);
-            collect_id_seeks_expr(rhs, seeks);
-        }
-        Expr::Binary(cypher::BinaryOperator::Eq, lhs, rhs) => {
-            if let Some((var, value)) = match_id_eq(lhs, rhs).or_else(|| match_id_eq(rhs, lhs)) {
-                seeks.insert(var, value);
-            }
-        }
-        _ => {}
-    }
+/// `expr` without the first seekable conjunct of each variable in `seeked`
+/// (the one [`collect_id_seeks`] chose, which its seek now enforces); `None`
+/// when no conjunct is left. Any other conjunct on the same variable stays,
+/// so `id(a) = 1 AND id(a) = 2` seeks 1 and still filters on 2.
+fn without_seek_conjuncts(expr: &Expr, seeked: &[String]) -> Option<Expr> {
+    let mut pending: Vec<&str> = seeked.iter().map(String::as_str).collect();
+    conjuncts(expr)
+        .into_iter()
+        .filter(|conjunct| {
+            let consumed = id_seek_conjunct(conjunct)
+                .and_then(|(var, _)| pending.iter().position(|v| *v == var));
+            consumed.map(|i| pending.swap_remove(i)).is_none()
+        })
+        .cloned()
+        .reduce(|lhs, rhs| Expr::Binary(cypher::BinaryOperator::And, Box::new(lhs), Box::new(rhs)))
 }
 
 /// True if `expr` contains a `$parameter` reference anywhere.
@@ -821,12 +860,12 @@ fn substitute_params(expr: &mut Expr, params: &Params, missing: &mut Option<Stri
     }
 }
 
-fn match_id_eq(call: &Expr, value: &Expr) -> Option<(String, Expr)> {
+fn match_id_eq<'e>(call: &'e Expr, value: &'e Expr) -> Option<(&'e str, &'e Expr)> {
     if let Expr::FunctionCall { name, args, .. } = call {
         if name == "id" && args.len() == 1 {
             if let Expr::Variable(var) = &args[0] {
                 if matches!(value, Expr::Literal(_) | Expr::Parameter(_)) {
-                    return Some((var.clone(), value.clone()));
+                    return Some((var, value));
                 }
             }
         }

@@ -5,6 +5,10 @@
 //! supported subset: numbers compare numerically across Int/Float, strings
 //! lexicographically, `Null` compares equal to nothing (including itself) for
 //! filters but sorts last in `ORDER BY`.
+//!
+//! Grouping, `RETURN DISTINCT` and `count(DISTINCT …)` share one equivalence,
+//! made hashable by [`ValueKey`]; for non-null operands it is exactly what
+//! [`Value::cypher_eq`] answers.
 
 use crate::{EdgeId, NodeId};
 use std::cmp::Ordering;
@@ -61,15 +65,37 @@ impl Value {
         }
     }
 
-    /// openCypher equality: numbers compare across Int/Float; `Null` is never
-    /// equal to anything (returns `None`, i.e. unknown).
+    /// openCypher equality: `Null` is never equal to anything (returns
+    /// `None`, i.e. unknown); any other pair is equal exactly when the two
+    /// values are equivalent — when their [`ValueKey`]s match:
+    ///
+    /// * numbers compare by exact value across Int and Float (Int–Int as
+    ///   `i64`, so 2^53 + 1 ≠ 2^53; an Int equals a Float only when the float
+    ///   is integral and the same number; -0.0 = 0), and NaN equals nothing;
+    /// * strings, bools, nodes and edges compare as themselves, never across
+    ///   types;
+    /// * lists compare element-wise under this same rule, where a nested
+    ///   `Null` is equivalent to a nested `Null`.
     pub fn cypher_eq(&self, other: &Value) -> Option<bool> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => Some(x == y),
-                _ => Some(a == b),
-            },
+            (a, b) => Some(a.equivalent(b)),
+        }
+    }
+
+    /// The equivalence [`ValueKey`] hashes, `Null` included.
+    fn equivalent(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => {
+                float_as_int(*f) == Some(*i)
+            }
+            (Value::List(a), Value::List(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.equivalent(y))
+            }
+            // Float–Float by IEEE `==` (NaN ≠ NaN, -0.0 = 0.0); everything
+            // else structurally, which never equates different variants.
+            (a, b) => a == b,
         }
     }
 
@@ -79,6 +105,7 @@ impl Value {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (a, b) => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => x.partial_cmp(&y),
                 _ => None,
@@ -86,8 +113,8 @@ impl Value {
         }
     }
 
-    /// Total ordering used by `ORDER BY` and `DISTINCT`: nulls sort last, then
-    /// bools, numbers, strings, nodes, edges, lists.
+    /// Total ordering used by `ORDER BY`, `min` and `max`: nulls sort last,
+    /// then bools, numbers, strings, nodes, edges, lists.
     pub fn sort_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -107,6 +134,7 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Node(a), Value::Node(b)) => a.cmp(b),
             (Value::Edge(a), Value::Edge(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::List(a), Value::List(b)) => {
                 for (x, y) in a.iter().zip(b.iter()) {
                     let c = x.sort_cmp(y);
@@ -186,6 +214,72 @@ impl Value {
     }
 }
 
+/// `f` as an `i64` when it is integral and inside the `i64` range, so the
+/// conversion is exact (-0.0 gives 0); `None` for fractions, out-of-range
+/// magnitudes, infinities and NaN.
+fn float_as_int(f: f64) -> Option<i64> {
+    // -2^63 and 2^63 are exact doubles; the i64 range is [-2^63, 2^63).
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    (f.fract() == 0.0 && (-LIMIT..LIMIT).contains(&f)).then_some(f as i64)
+}
+
+/// A hashable key for the equivalence behind grouping, `RETURN DISTINCT` and
+/// `count(DISTINCT …)`: two values are equivalent when their keys are equal,
+/// which for non-null values is exactly [`Value::cypher_eq`] answering
+/// `Some(true)`, and `Null` is equivalent to `Null`.
+///
+/// Every integral number in the `i64` range keys as [`ValueKey::Int`],
+/// whether it arrived as an Int or a Float, so `1` and `1.0` share a key
+/// while 2^53 and 2^53 + 1 do not. A value holding NaN has no key
+/// ([`ValueKey::new`] returns `None`): NaN is equivalent to nothing, itself
+/// included, so every occurrence stands alone.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum ValueKey {
+    /// `Null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// An Int, or an integral Float inside the `i64` range.
+    Int(i64),
+    /// Any other non-NaN Float, by bit pattern.
+    Float(u64),
+    /// A string.
+    Str(String),
+    /// A node id.
+    Node(NodeId),
+    /// An edge id.
+    Edge(EdgeId),
+    /// A list, element by element.
+    List(Vec<ValueKey>),
+}
+
+impl ValueKey {
+    /// The key of `value`; `None` when it is or contains NaN.
+    pub fn new(value: &Value) -> Option<ValueKey> {
+        Some(match value {
+            Value::Null => ValueKey::Null,
+            Value::Bool(b) => ValueKey::Bool(*b),
+            Value::Int(i) => ValueKey::Int(*i),
+            Value::Float(f) if f.is_nan() => return None,
+            Value::Float(f) => match float_as_int(*f) {
+                Some(i) => ValueKey::Int(i),
+                None => ValueKey::Float(f.to_bits()),
+            },
+            Value::Str(s) => ValueKey::Str(s.clone()),
+            Value::Node(id) => ValueKey::Node(*id),
+            Value::Edge(id) => ValueKey::Edge(*id),
+            Value::List(items) => {
+                ValueKey::List(items.iter().map(ValueKey::new).collect::<Option<_>>()?)
+            }
+        })
+    }
+
+    /// The key of a row of values; `None` when any of them holds NaN.
+    pub fn row(values: &[Value]) -> Option<Vec<ValueKey>> {
+        values.iter().map(ValueKey::new).collect()
+    }
+}
+
 impl From<&cypher::Literal> for Value {
     fn from(lit: &cypher::Literal) -> Self {
         match lit {
@@ -232,6 +326,52 @@ mod tests {
         assert_eq!(Value::Int(3).cypher_eq(&Value::Int(4)), Some(false));
         assert_eq!(Value::Null.cypher_eq(&Value::Int(1)), None);
         assert_eq!(Value::Str("a".into()).cypher_eq(&Value::Str("a".into())), Some(true));
+    }
+
+    #[test]
+    fn integer_equality_is_exact() {
+        let two53 = 1i64 << 53;
+        for (a, b) in [(two53 + 1, two53), (two53 - 1, two53), (i64::MAX, i64::MAX - 1)] {
+            assert_eq!(Value::Int(a).cypher_eq(&Value::Int(b)), Some(false), "{a} = {b}");
+            assert_eq!(Value::Int(a).cypher_cmp(&Value::Int(b)), Some(a.cmp(&b)), "{a} <> {b}");
+            assert_eq!(Value::Int(a).sort_cmp(&Value::Int(b)), a.cmp(&b), "{a} sorts {b}");
+        }
+        // 2^53 + 1 is not a double: the nearest float is 2^53, which is not
+        // the same number as the Int 2^53 + 1.
+        let f = (two53 + 1) as f64;
+        assert_eq!(Value::Int(two53 + 1).cypher_eq(&Value::Float(f)), Some(false));
+        assert_eq!(Value::Int(two53).cypher_eq(&Value::Float(f)), Some(true));
+        assert_eq!(Value::Int(0).cypher_eq(&Value::Float(-0.0)), Some(true));
+        assert_eq!(Value::Int(0).cypher_eq(&Value::Float(0.5)), Some(false));
+        // 2^63 as a float is one past i64::MAX, and saturating `as` would
+        // otherwise make them meet.
+        assert_eq!(Value::Int(i64::MAX).cypher_eq(&Value::Float(i64::MAX as f64)), Some(false));
+        assert_eq!(Value::Int(i64::MIN).cypher_eq(&Value::Float(i64::MIN as f64)), Some(true));
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan.cypher_eq(&nan), Some(false));
+        assert_eq!(Value::Int(0).cypher_eq(&nan), Some(false));
+    }
+
+    #[test]
+    fn keys_follow_equality() {
+        let key = |v: Value| ValueKey::new(&v);
+        assert_eq!(key(Value::Int(1)), key(Value::Float(1.0)));
+        assert_eq!(key(Value::Int(0)), key(Value::Float(-0.0)));
+        assert_ne!(key(Value::Int((1 << 53) + 1)), key(Value::Int(1 << 53)));
+        assert_ne!(key(Value::Int(1)), key(Value::Float(1.5)));
+        assert_ne!(key(Value::Int(1)), key(Value::Node(1)));
+        assert_ne!(key(Value::Int(1)), key(Value::Bool(true)));
+        assert_ne!(key(Value::Int(1)), key(Value::Str("1".into())));
+        assert_eq!(
+            key(Value::List(vec![Value::Int(1), Value::Null])),
+            key(Value::List(vec![Value::Float(1.0), Value::Null]))
+        );
+        assert_eq!(key(Value::Float(f64::NAN)), None);
+        assert_eq!(key(Value::List(vec![Value::Float(f64::NAN)])), None);
+        assert_eq!(
+            Value::List(vec![Value::Int(1)]).cypher_eq(&Value::List(vec![Value::Float(1.0)])),
+            Some(true)
+        );
     }
 
     #[test]

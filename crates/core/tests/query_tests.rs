@@ -441,3 +441,67 @@ fn fractional_node_ids_are_rejected_not_truncated() {
     let err = g.query("CALL algo.pagerank(0.85, 2.7) YIELD node RETURN node").unwrap_err();
     assert!(matches!(err, redisgraph_core::QueryError::Type(ref m) if m.contains("integer")));
 }
+
+#[test]
+fn id_seek_comes_only_from_its_own_match() {
+    // The WHERE of the second MATCH must not turn the first `MATCH (n)` into
+    // a seek: the count runs over all four nodes.
+    let mut g = Graph::new("t");
+    g.query("CREATE (:A), (:A), (:A), (:A)").unwrap();
+    let rs = g.query("MATCH (n) WITH count(n) AS c MATCH (n) WHERE id(n) = 0 RETURN c").unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(4)]]);
+    let plan = g.explain("MATCH (n) WITH count(n) AS c MATCH (n) WHERE id(n) = 0 RETURN c");
+    let plan = plan.unwrap().join("\n");
+    assert!(plan.starts_with("All Node Scan | (n)"), "{plan}");
+    assert!(plan.contains("Node By Id Seek | (n)"), "{plan}");
+}
+
+#[test]
+fn integer_equality_is_exact_beyond_2_pow_53() {
+    let mut g = Graph::new("t");
+    let row = |g: &mut Graph, q: &str| g.query(q).unwrap().rows;
+    assert_eq!(
+        row(
+            &mut g,
+            "RETURN 9007199254740993 = 9007199254740992, 9007199254740991 = 9007199254740992"
+        ),
+        vec![vec![Value::Bool(false), Value::Bool(false)]]
+    );
+    assert_eq!(
+        row(
+            &mut g,
+            "RETURN 9007199254740993 > 9007199254740992, 9007199254740992 = 9007199254740992.0"
+        ),
+        vec![vec![Value::Bool(true), Value::Bool(true)]]
+    );
+    assert_eq!(
+        row(
+            &mut g,
+            "UNWIND [9007199254740993, 9007199254740992, 9007199254740991, 9007199254740992.0] \
+             AS x RETURN count(DISTINCT x)"
+        ),
+        vec![vec![Value::Int(3)]]
+    );
+}
+
+#[test]
+fn grouping_distinct_rows_and_count_distinct_share_one_equivalence() {
+    let mut g = Graph::new("t");
+    let groups = g.query("UNWIND [1, 1.0, 2] AS x RETURN x, count(*) ORDER BY x").unwrap();
+    assert_eq!(
+        groups.rows,
+        vec![vec![Value::Int(1), Value::Int(2)], vec![Value::Int(2), Value::Int(1)]]
+    );
+    let distinct = g.query("UNWIND [1, 1.0, 2] AS x RETURN DISTINCT x").unwrap();
+    assert_eq!(distinct.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+    let counted = g.query("UNWIND [1, 1.0, 2] AS x RETURN count(DISTINCT x)").unwrap();
+    assert_eq!(counted.scalar(), Some(&Value::Int(2)));
+    // Lists group element-wise under the same rule; nulls group together.
+    let lists = g.query("UNWIND [[1, null], [1.0, null], [2]] AS x RETURN count(DISTINCT x)");
+    assert_eq!(lists.unwrap().scalar(), Some(&Value::Int(2)));
+    let nulls = g.query("UNWIND [null, 1, null] AS x RETURN x, count(*) ORDER BY x").unwrap();
+    assert_eq!(
+        nulls.rows,
+        vec![vec![Value::Int(1), Value::Int(1)], vec![Value::Null, Value::Int(2)]]
+    );
+}

@@ -19,12 +19,17 @@ use redisgraph_core::{format_profile, Graph, TraverseStrategy};
 use std::path::PathBuf;
 
 /// The corpus: name → profiled query. Covers a label scan + expand, a
-/// var-length traversal, an aggregate, a WITH-segmented pipeline (the
-/// formatter's `--- segment ---` separator), and a profiled write.
+/// var-length traversal, a fused 2-hop chain counted from an id seek, an
+/// aggregate, a WITH-segmented pipeline (the formatter's `--- segment ---`
+/// separator), and a profiled write.
 const CASES: &[(&str, &str)] = &[
     ("profile_scan_expand", "MATCH (a:Node)-[:LINK]->(b) RETURN id(b)"),
     ("profile_filter_point_read", "MATCH (s:Node)-[:LINK]->(t) WHERE id(s) = 3 RETURN id(t)"),
     ("profile_varlength", "MATCH (s:Node)-[*1..2]->(t) WHERE id(s) = 0 RETURN count(t)"),
+    (
+        "profile_chain_2hop",
+        "MATCH (s:Node)-[:LINK]->()-[:LINK]->(t) WHERE id(s) = 0 RETURN count(t)",
+    ),
     ("profile_aggregate", "MATCH (n:Node) RETURN count(n)"),
     (
         "profile_with_segments",
